@@ -14,11 +14,12 @@ summary:
 3. **Cache** -- times a cold ``run_experiment`` against a fresh
    :class:`ResultCache` directory, then a warm one, and reports the hit
    rate and warm/cold ratio.
-4. **Metrics** -- runs fig01 with the observability registry disabled
-   and enabled, checks the CSVs are byte-identical, reports the enabled
-   overhead and the measured disabled per-call cost, and **fails** if
-   the estimated disabled-path overhead exceeds 2% -- the "near-zero
-   disabled cost" contract of :mod:`repro.obs`.
+4. **Metrics** -- runs fig01 serially with the observability registry
+   disabled and enabled, checks the CSVs are byte-identical, reports the
+   enabled overhead, counts the instrument calls of a disabled run, and
+   **fails** if those calls at their measured disabled per-call cost
+   exceed 2% of the disabled run -- the "near-zero disabled cost"
+   contract of :mod:`repro.obs`.
 5. **Supervision** -- runs fig01 under an active
    :class:`~repro.experiments.resilience.RunContext` (journalling +
    supervised pool, the crash-safe CLI path) and plain, checks the CSVs
@@ -78,11 +79,21 @@ from repro.experiments.fig01_one_plus import run as run_fig01  # noqa: E402
 from repro.experiments.registry import run_experiment  # noqa: E402
 from repro.group_testing.model import ModelSpec  # noqa: E402
 from repro.obs import get_registry  # noqa: E402
+from repro.obs import registry as obs_registry  # noqa: E402
 from repro.workloads.scenarios import x_sweep  # noqa: E402
 
 #: Hard budget for the estimated cost of *disabled* instruments, as a
 #: fraction of a metrics-off fig01 run.  CI fails the bench above this.
 DISABLED_OVERHEAD_BUDGET = 0.02
+
+#: The instrument methods hot paths call (``Class.method`` in
+#: :mod:`repro.obs.registry`); each is a guarded no-op while disabled.
+INSTRUMENT_ENTRY_POINTS = (
+    "Counter.inc",
+    "Histogram.observe",
+    "Timer.time",
+    "Timer.add_seconds",
+)
 
 #: Hard budget for the measured journal/supervision cost on a
 #: fault-free supervised run, as a fraction of its wall time.
@@ -182,46 +193,95 @@ def bench_cache(runs: int) -> dict:
         }
 
 
-def bench_metrics(runs: int, jobs: int) -> dict:
+def _count_instrument_calls(fn):
+    """Run ``fn`` counting every call into an instrument entry point.
+
+    Returns ``(result, {entry point: calls})``.  Counts calls, not the
+    values they record: one ``absorb`` of a whole cell's tally is merge
+    machinery outside the disabled fast path, and one ``inc(n)`` costs
+    the same as ``inc()``.  Only calls made in this process are seen.
+    """
+    counts = {name: 0 for name in INSTRUMENT_ENTRY_POINTS}
+    originals = []
+    for name in INSTRUMENT_ENTRY_POINTS:
+        cls_name, attr = name.split(".")
+        cls = getattr(obs_registry, cls_name)
+        original = cls.__dict__[attr]
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        originals.append((cls, attr, original))
+        setattr(cls, attr, counted)
+    try:
+        return fn(), counts
+    finally:
+        for cls, attr, original in originals:
+            setattr(cls, attr, original)
+
+
+def _disabled_call_seconds(registry) -> dict:
+    """Measured cost of one disabled call per instrument entry point."""
+    counter = registry.counter("bench.disabled_probe")
+    histogram = registry.histogram("bench.disabled_probe_hist", (1.0,))
+    timer = registry.timer("bench.disabled_probe_timer")
+
+    def timed_span():
+        with timer.time():
+            pass
+
+    probes = {
+        "Counter.inc": counter.inc,
+        "Histogram.observe": lambda: histogram.observe(1.0),
+        "Timer.time": timed_span,
+        "Timer.add_seconds": lambda: timer.add_seconds(1.0),
+    }
+    calls = 200_000
+    out = {}
+    for name, probe in probes.items():
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            probe()
+        out[name] = (time.perf_counter() - t0) / calls
+    return out
+
+
+def bench_metrics(runs: int) -> dict:
     """Metrics-off vs metrics-on fig01: identical bytes, bounded cost.
 
     Enforces the :mod:`repro.obs` contract two ways: the enabled run's
     CSV must match the disabled run's byte for byte, and the *disabled*
     path must stay effectively free.  The disabled cost is estimated as
-    (measured per-call cost of a disabled counter) x (instrument events
-    the enabled run recorded), expressed as a fraction of the disabled
-    run's wall time; above :data:`DISABLED_OVERHEAD_BUDGET` the bench
-    raises.
+    the instrument calls a disabled run makes (counted per entry point
+    in a second disabled run) times the measured cost of one disabled
+    call of that entry point, as a fraction of the disabled run's wall
+    time; above :data:`DISABLED_OVERHEAD_BUDGET` the bench raises.  All
+    three runs are serial, so every call is made, and counted, in this
+    process.
     """
     registry = get_registry()
     registry.disable()
     registry.reset()
-    disabled_result, disabled_s = _time(lambda: run_fig01(runs=runs, jobs=jobs))
+    disabled_result, disabled_s = _time(lambda: run_fig01(runs=runs, jobs=1))
     registry.reset()
     registry.enable()
-    enabled_result, enabled_s = _time(lambda: run_fig01(runs=runs, jobs=jobs))
+    enabled_result, enabled_s = _time(lambda: run_fig01(runs=runs, jobs=1))
     snapshot = registry.snapshot()
     registry.disable()
     registry.reset()
+    counted_result, calls = _count_instrument_calls(
+        lambda: run_fig01(runs=runs, jobs=1)
+    )
 
     if disabled_result.to_csv() != enabled_result.to_csv():
         raise AssertionError("enabling metrics changed the fig01 CSV")
+    if disabled_result.to_csv() != counted_result.to_csv():
+        raise AssertionError("counting instrument calls changed the fig01 CSV")
 
-    # Direct measurement of one disabled instrument call (the registry
-    # is disabled again at this point, so inc() takes the guard branch).
-    probe = registry.counter("bench.disabled_probe")
-    calls = 1_000_000
-    t0 = time.perf_counter()
-    for _ in range(calls):
-        probe.inc()
-    per_call_s = (time.perf_counter() - t0) / calls
-
-    events = sum(snapshot.counters.values()) + sum(
-        h.total for h in snapshot.histograms.values()
-    )
-    disabled_overhead = (
-        per_call_s * events / disabled_s if disabled_s > 0 else 0.0
-    )
+    per_call_s = _disabled_call_seconds(registry)
+    disabled_cost_s = sum(calls[name] * per_call_s[name] for name in calls)
+    disabled_overhead = disabled_cost_s / disabled_s if disabled_s > 0 else 0.0
     if disabled_overhead > DISABLED_OVERHEAD_BUDGET:
         raise AssertionError(
             f"disabled-path metrics overhead {disabled_overhead:.2%} exceeds "
@@ -229,15 +289,17 @@ def bench_metrics(runs: int, jobs: int) -> dict:
         )
     return {
         "runs": runs,
-        "jobs": jobs,
+        "jobs": 1,
         "csv_identical": True,
         "disabled_seconds": round(disabled_s, 3),
         "enabled_seconds": round(enabled_s, 3),
         "enabled_overhead_fraction": round(
             (enabled_s - disabled_s) / disabled_s if disabled_s > 0 else 0.0, 4
         ),
-        "disabled_ns_per_call": round(per_call_s * 1e9, 2),
-        "instrument_events": events,
+        "disabled_ns_per_call": {
+            name: round(cost * 1e9, 2) for name, cost in per_call_s.items()
+        },
+        "instrument_calls": calls,
         "disabled_overhead_fraction": round(disabled_overhead, 6),
         "disabled_overhead_budget": DISABLED_OVERHEAD_BUDGET,
         "counters": dict(sorted(snapshot.counters.items())),
@@ -559,11 +621,11 @@ def main(argv=None) -> int:
     )
 
     print(f"[bench_sweeps] metrics: fig01 runs={cache_runs} off/on ...")
-    metrics = bench_metrics(cache_runs, jobs)
+    metrics = bench_metrics(cache_runs)
     print(
         f"[bench_sweeps]   enabled overhead "
         f"{metrics['enabled_overhead_fraction']:+.1%}, disabled "
-        f"{metrics['disabled_ns_per_call']}ns/call "
+        f"{sum(metrics['instrument_calls'].values())} instrument calls "
         f"(est. {metrics['disabled_overhead_fraction']:.3%} of run, "
         f"budget {metrics['disabled_overhead_budget']:.0%})"
     )

@@ -95,7 +95,7 @@ class AlgorithmSpec:
             execute whole Monte-Carlo cells on the vectorized kernel
             (:mod:`repro.group_testing.vectorized`).  The sweep engine
             consults this capability when dispatching cells; the
-            unwrapped reliability layer and adaptive bin policies stay
+            unwrapped reliability layer and the Sec V-D probe stay
             scalar.
     """
 
@@ -149,6 +149,7 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
             build=_build_abns,
             summary="Algorithm 3: adaptive bin number selection "
             "(p0/p0_multiple/policy/stagnation_limit)",
+            vectorized=True,
         ),
         AlgorithmSpec(
             key="prob-abns",
@@ -159,17 +160,20 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
             key="pause-and-continue",
             build=PauseAndContinue,
             summary="excluded variation: pause-and-continue",
+            vectorized=True,
         ),
         AlgorithmSpec(
             key="four-fold",
             build=FourFoldIncrease,
             summary="excluded variation: four-fold increase",
+            vectorized=True,
         ),
         AlgorithmSpec(
             key="oracle",
             build=_build_oracle,
             summary="Sec V-C lower-bound baseline (needs the true x)",
             needs_x=True,
+            vectorized=True,
         ),
         AlgorithmSpec(
             key="prob-threshold",

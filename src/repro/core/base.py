@@ -23,13 +23,15 @@ by the :meth:`ThresholdAlgorithm._bins_for_round` hook.
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
+    Dict,
     List,
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -38,9 +40,7 @@ import numpy as np
 from repro.core.result import RoundRecord, ThresholdResult
 from repro.group_testing.binning import partition_deterministic, partition_random
 from repro.group_testing.model import ObservationKind, QueryModel
-
-if TYPE_CHECKING:
-    from repro.group_testing.vectorized import BatchDecision, QueryBatch
+from repro.group_testing.vectorized import BatchDecision, QueryBatch, run_lockstep
 
 
 @runtime_checkable
@@ -92,13 +92,14 @@ class BatchThresholdDecider(Protocol):
     dispatcher, :func:`repro.api.threshold_query_batch` -- fall back to
     the scalar path.
 
-    Implemented by the algorithms whose bin policy is a pure function of
-    the round index (:class:`~repro.core.two_t_bins.TwoTBins`,
-    :class:`~repro.core.exponential.ExponentialIncrease`) and by the
-    non-adaptive probabilistic scheme
-    (:class:`~repro.core.probabilistic.ProbabilisticThreshold`);
-    adaptive policies (ABNS and friends) are scalar-only.  The registry
-    mirrors this capability as :attr:`repro.api.AlgorithmSpec.vectorized`.
+    Implemented by every exact algorithm
+    (:meth:`ThresholdAlgorithm.decide_batch` replays any bin policy's
+    round hooks per run; 2tBins and Exponential Increase override it
+    with pure schedules) and by the non-adaptive probabilistic scheme
+    (:class:`~repro.core.probabilistic.ProbabilisticThreshold`).  The
+    Sec V-D probe (:class:`~repro.core.abns.ProbabilisticAbns`) and the
+    unwrapped reliability layer stay scalar.  The registry mirrors this
+    capability as :attr:`repro.api.AlgorithmSpec.vectorized`.
     """
 
     @property
@@ -116,7 +117,8 @@ class SessionState:
     """Mutable state of an in-progress threshold-querying session.
 
     Attributes:
-        candidates: Node ids that may still be positive.
+        candidates: Node ids that may still be positive (the batch
+            kernel stands in a ``range`` of the surviving count).
         confirmed: Count of individually-identified positives (captures).
         threshold: The queried threshold ``t``.
         round_index: Zero-based index of the current round.
@@ -124,7 +126,7 @@ class SessionState:
         history: Completed :class:`RoundRecord` entries.
     """
 
-    candidates: List[int]
+    candidates: Sequence[int]
     threshold: int
     confirmed: int = 0
     round_index: int = 0
@@ -164,9 +166,19 @@ class ThresholdAlgorithm(abc.ABC):
     """Base class for the exact tcast algorithms.
 
     Subclasses implement :meth:`_bins_for_round` (how many bins to use
-    next) and may override :meth:`_observe_round` (adaptive state updates).
+    next) and may override :meth:`_reset` (per-session state) and
+    :meth:`_observe_round` (adaptive state updates).
 
-    The public entry point is :meth:`decide`.
+    The public entry points are :meth:`decide` and :meth:`decide_batch`.
+
+    **Hook contract.**  The three hooks may read only
+    ``len(state.candidates)``, ``state.threshold``, ``state.confirmed``,
+    ``state.remaining_needed``, ``state.round_index`` and the
+    :class:`RoundOutcome` -- never candidate identities, the model or
+    the RNG -- and must not consume randomness.  :meth:`_reset` must
+    rebind (not mutate in place) every piece of per-session state, since
+    :meth:`decide_batch` gives each run a shallow copy of the algorithm.
+    Under that contract the batch kernel replays the hooks bit-exactly.
     """
 
     #: Human-readable algorithm name (used in results and reports).
@@ -245,6 +257,22 @@ class ThresholdAlgorithm(abc.ABC):
             exact=True,
             history=tuple(state.history),
             algorithm=self.name,
+        )
+
+    def decide_batch(self, batch: QueryBatch) -> BatchDecision:
+        """Answer every trial of ``batch`` on the lockstep kernel.
+
+        Bit-identical to calling :meth:`decide` once per run: each run
+        replays this algorithm's own hooks on a fresh copy (see the hook
+        contract in the class docstring), while the kernel shares the
+        partition, counting and termination work across runs.
+        """
+        return run_lockstep(
+            batch,
+            policy=_HookReplay(self, batch),
+            partition_strategy=self.partition_strategy,
+            algorithm=self.name,
+            max_rounds=self.max_rounds,
         )
 
     # ------------------------------------------------------------------
@@ -338,3 +366,56 @@ class ThresholdAlgorithm(abc.ABC):
     def _current_estimate(self) -> Optional[float]:
         """ABNS overrides this to expose its ``p`` estimate in records."""
         return None
+
+
+class _HookReplay:
+    """An algorithm's round hooks, replayed per run for the batch kernel.
+
+    Implements :class:`repro.group_testing.vectorized.RunPolicy`.  Run
+    ``i`` starts the way :meth:`ThresholdAlgorithm.decide` starts a
+    session -- a copy of the algorithm, reset on a fresh
+    :class:`SessionState` -- when the kernel first asks for its bins, so
+    runs the kernel resolves without a round never build one.
+    """
+
+    def __init__(self, algorithm: ThresholdAlgorithm, batch: QueryBatch) -> None:
+        self._algorithm = algorithm
+        self._n = batch.n
+        self._threshold = batch.threshold
+        self._runs: Dict[int, Tuple[ThresholdAlgorithm, SessionState]] = {}
+
+    def bins(self, run: int) -> int:
+        """The run's next ``_bins_for_round``."""
+        session = self._runs.get(run)
+        if session is None:
+            algo = copy.copy(self._algorithm)
+            state = SessionState(candidates=range(self._n), threshold=self._threshold)
+            algo._reset(state)
+            session = self._runs[run] = (algo, state)
+        algo, state = session
+        return algo._bins_for_round(state)
+
+    def observe(
+        self,
+        run: int,
+        requested: int,
+        queried: int,
+        silent: int,
+        remaining: int,
+        confirmed: int,
+    ) -> None:
+        """Advance the run's session past a finished, unresolved round."""
+        algo, state = self._runs[run]
+        progressed = remaining < len(state.candidates) or confirmed > state.confirmed
+        state.candidates = range(remaining)
+        state.confirmed = confirmed
+        algo._observe_round(
+            state,
+            RoundOutcome(
+                bins_requested=requested,
+                bins_queried=queried,
+                silent_bins=silent,
+                progressed=progressed,
+            ),
+        )
+        state.round_index += 1

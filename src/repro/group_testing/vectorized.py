@@ -26,17 +26,25 @@ The contract has three parts:
   :class:`~repro.obs.MetricsSnapshot` per cell, so counter totals
   reconcile exactly with scalar runs.
 
+Bin counts come either from a pure *schedule* (round index -> bins;
+2tBins and Exponential Increase) or from a per-run *policy*
+(:class:`RunPolicy`): the kernel asks each run's policy for its next
+round's bin count and reports every unresolved round's outcome back to
+it, so adaptive policies (ABNS, the oracle baseline, the Sec IV-B
+variations) share the lockstep array work while their decisions stay
+per run.  :meth:`repro.core.base.ThresholdAlgorithm.decide_batch` builds
+such a policy from any algorithm's own round hooks.
+
 Anything the kernel cannot reproduce bit-exactly -- detection-failure
-hooks (fault plans), non-random partitioning, adaptive bin policies --
-raises :class:`UnsupportedBatch`, and callers fall back to the scalar
-path.
+hooks (fault plans), non-random partitioning -- raises
+:class:`UnsupportedBatch`, and callers fall back to the scalar path.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +76,34 @@ RunStreams = Tuple[np.random.Generator, np.random.Generator, np.random.Generator
 
 #: Pure bin-count schedule: round index -> requested bin count.
 Schedule = Callable[[int], int]
+
+
+class RunPolicy(Protocol):
+    """Per-run adaptive bin counts, driven round by round by the kernel.
+
+    ``run`` is the batch-relative run index (``0 .. batch.runs - 1``).
+    The kernel calls :meth:`bins` once at the start of each of a run's
+    rounds and :meth:`observe` once after each round that left the run
+    unresolved; a resolved run is never consulted again.
+    """
+
+    def bins(self, run: int) -> int:
+        """Requested bin count of ``run``'s next round."""
+        ...
+
+    def observe(
+        self,
+        run: int,
+        requested: int,
+        queried: int,
+        silent: int,
+        remaining: int,
+        confirmed: int,
+    ) -> None:
+        """``run``'s finished, unresolved round: bins requested and
+        queried, silent bins, surviving candidates, and positives
+        confirmed by captures so far (always 0 outside the 2+ model)."""
+        ...
 
 
 class UnsupportedBatch(Exception):
@@ -341,6 +377,12 @@ def _fast_states(
     would hold, reproduced via the same two SHA-256 derivations.
     Streams listed in ``raw`` come back as :func:`fastseed.pcg64_raw`
     half arrays instead, ready for the bulk output emulation.
+
+    Every name's seeds go through one :func:`fastseed.pcg64_raw` call
+    (its fixed cost outweighs the per-seed cost on small shards).  The
+    seeds are laid out name-major with the ``raw`` names first, so the
+    streams that need python-int pairs form one contiguous tail that is
+    widened in one pass.
     """
     if batch.seed_info is None or not fastseed.available():
         return None
@@ -348,8 +390,9 @@ def _fast_states(
     sha = hashlib.sha256
     from_bytes = int.from_bytes
     prefix = sha(f"{root}/fork/{cell}/r".encode("utf-8"))
-    suffixes = [("/" + name).encode("utf-8") for name in names]
-    seeds: List[List[int]] = [[] for _ in names]
+    order = sorted(names, key=lambda name: name not in raw)
+    suffixes = [("/" + name).encode("utf-8") for name in order]
+    seeds: List[List[int]] = [[] for _ in order]
     appends_suffixes = tuple(zip([s.append for s in seeds], suffixes))
     for rb in _run_digits(batch.run_lo, batch.run_hi):
         h = prefix.copy()
@@ -357,12 +400,23 @@ def _fast_states(
         fork = b"%d" % (from_bytes(h.digest()[:8], "big") >> 1)
         for append, suffix in appends_suffixes:
             append(from_bytes(sha(fork + suffix).digest()[:8], "big") >> 1)
-    return {
-        name: (
-            fastseed.pcg64_raw(s) if name in raw else fastseed.pcg64_states(s)
-        )
-        for name, s in zip(names, seeds)
-    }
+    runs = batch.runs
+    state_hi, state_lo, inc_hi, inc_lo = fastseed.pcg64_raw(
+        [s for per_name in seeds for s in per_name]
+    )
+    n_raw = sum(name in raw for name in order)
+    tail = n_raw * runs
+    pairs = fastseed.pairs_from_raw(
+        (state_hi[tail:], state_lo[tail:], inc_hi[tail:], inc_lo[tail:])
+    )
+    out: Dict[str, Any] = {}
+    for k, name in enumerate(order):
+        lo, hi = k * runs, (k + 1) * runs
+        if k < n_raw:
+            out[name] = (state_hi[lo:hi], state_lo[lo:hi], inc_hi[lo:hi], inc_lo[lo:hi])
+        else:
+            out[name] = pairs[lo - tail:hi - tail]
+    return out
 
 
 def _validate_lockstep(batch: QueryBatch, partition_strategy: str) -> int:
@@ -387,22 +441,27 @@ def _validate_lockstep(batch: QueryBatch, partition_strategy: str) -> int:
 
 def run_lockstep(
     batch: QueryBatch,
-    schedule: Schedule,
+    schedule: Optional[Schedule] = None,
     *,
+    policy: Optional[RunPolicy] = None,
     partition_strategy: str = "random",
     algorithm: str = "vectorized",
+    max_rounds: int = _MAX_ROUNDS,
 ) -> BatchDecision:
     """Execute a cell of round-structured exact trials.
 
     Args:
         batch: The cell description and per-run streams.
-        schedule: Pure map from round index to requested bin count; only
+        schedule: Pure map from round index to requested bin count, for
             algorithms whose bin policy depends on nothing but the round
-            index (2tBins, Exponential Increase) can be expressed this
-            way -- adaptive policies stay on the scalar path.
+            index (2tBins, Exponential Increase): one count serves every
+            run of a round.
+        policy: Per-run adaptive bin counts instead of ``schedule``
+            (exactly one of the two must be given).
         partition_strategy: Must be ``"random"`` (the only vectorized
             partitioner).
         algorithm: Name used in error messages.
+        max_rounds: Round safety valve (the algorithm's ``max_rounds``).
 
     Returns:
         The per-run decisions and query counts (``exact=True``).
@@ -412,9 +471,12 @@ def run_lockstep(
             reproduced bit-exactly.
         ValueError: If the threshold is negative (mirroring ``decide``).
     """
+    if (schedule is None) == (policy is None):
+        raise TypeError("pass exactly one of schedule / policy")
     k = _validate_lockstep(batch, partition_strategy)
     if batch.threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {batch.threshold}")
+    rounds = _Rounds(schedule, policy, algorithm, max_rounds)
     spec = batch.model
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
@@ -438,16 +500,56 @@ def run_lockstep(
             mask = _draw_positive_mask(batch.n, batch.x, pop_rng)
             decisions[i], queries[i] = _run_one_capture(
                 batch.n, batch.threshold, mask, model_rng, bins_rng,
-                schedule, p_cap, spec.max_queries, algorithm, tally,
+                rounds, i, p_cap, spec.max_queries, tally,
             )
     else:
         _run_counting_batch(
-            batch, schedule, k, spec.max_queries, algorithm, tally,
-            decisions, queries,
+            batch, rounds, k, spec.max_queries, tally, decisions, queries,
         )
     if tally is not None:
         tally.flush()
     return BatchDecision(decisions=decisions, queries=queries, exact=True)
+
+
+class _Rounds:
+    """Where a cell's bin counts come from: a schedule or a run policy.
+
+    Also owns the two round-loop guards of
+    :meth:`repro.core.base.ThresholdAlgorithm.decide`: the ``>= 1`` check
+    on every requested count and the round safety valve.
+    """
+
+    __slots__ = ("schedule", "policy", "algorithm", "max_rounds")
+
+    def __init__(
+        self,
+        schedule: Optional[Schedule],
+        policy: Optional[RunPolicy],
+        algorithm: str,
+        max_rounds: int,
+    ) -> None:
+        self.schedule = schedule
+        self.policy = policy
+        self.algorithm = algorithm
+        self.max_rounds = max_rounds
+
+    def bins(self, round_index: int, run: int) -> int:
+        """Requested bin count of one run's round (a schedule ignores
+        the run), with the scalar executor's error for a count below 1."""
+        if self.policy is None:
+            assert self.schedule is not None
+            bins = self.schedule(round_index)
+        else:
+            bins = self.policy.bins(run)
+        if bins < 1:
+            raise RuntimeError(f"{self.algorithm}: bin policy returned {bins}")
+        return bins
+
+    def tripped(self) -> RuntimeError:
+        """The safety-valve error."""
+        return RuntimeError(
+            f"{self.algorithm}: round safety valve ({self.max_rounds}) tripped"
+        )
 
 
 def _round_layout(
@@ -481,10 +583,9 @@ def _round_layout(
 
 def _run_counting_batch(
     batch: QueryBatch,
-    schedule: Schedule,
+    rounds: _Rounds,
     k: int,
     max_queries: Optional[int],
-    algorithm: str,
     tally: Optional[_CellTally],
     decisions: np.ndarray,
     queries: np.ndarray,
@@ -503,6 +604,10 @@ def _run_counting_batch(
     Without captures a round's query-by-query state is a pair of prefix
     sums (cumulative evidence, cumulative eliminations), so both
     termination conditions reduce to per-row first-index searches.
+
+    Under a run policy each row requests its own bin count (the layout
+    math broadcasts over a per-row ``eff``), and every row left
+    unresolved by a full round reports that round back to its policy.
     """
     n, threshold = batch.n, batch.threshold
     runs = batch.runs
@@ -524,10 +629,14 @@ def _run_counting_batch(
             # calls in lockstep and scatter into the flat hit matrix.
             # Bulk cost grows with the pull count (~2x) while the
             # per-run loop's is nearly flat, so large draws (x beyond
-            # ~n/2) stay on the per-run path.
+            # ~n/2) stay on the per-run path; and its fixed cost grows
+            # with x, so it pays off only from about 4x runs on (small
+            # shards of the pooled sweeps).
             idx = (
                 fastseed.choice_bulk(states["pop"], n, batch.x)
-                if 2 * batch.x <= n + 16 and fastseed.choice_available()
+                if 2 * batch.x <= n + 16
+                and 4 * batch.x <= runs
+                and fastseed.choice_available()
                 else None
             )
             if idx is not None:
@@ -556,18 +665,26 @@ def _run_counting_batch(
         return
     if n < threshold:
         return
+    policy = rounds.policy
     active = np.arange(runs, dtype=np.int64)
     m = np.full(runs, n, dtype=np.int64)
     totals = np.zeros(runs, dtype=np.int64)
-    for round_index in range(_MAX_ROUNDS):
+    for round_index in range(rounds.max_rounds):
         if not active.size:
             return
-        bins_requested = schedule(round_index)
-        if bins_requested < 1:
-            raise RuntimeError(f"{algorithm}: bin policy returned {bins_requested}")
         rows = active.size
         width = int(m.max())
-        eff = np.minimum(bins_requested, m)
+        act = active.tolist()
+        m_rows = m.tolist()
+        if policy is None:
+            eff = np.minimum(rounds.bins(round_index, 0), m)
+        else:
+            # Clamp in python: doubling policies outgrow int64 long
+            # after their counts exceed every candidate list.
+            requested = [rounds.bins(round_index, i) for i in act]
+            eff = np.array(
+                [min(b, mj) for b, mj in zip(requested, m_rows)], dtype=np.int64
+            )
         n_bins = int(eff.max())
         # Flat row offsets: 2-D gathers/scatters below run as 1-D
         # ``take``/fancy assignment on raveled arrays, which skips the
@@ -585,8 +702,7 @@ def _run_counting_batch(
         ).copy()
         if width > 1:
             perm[np.arange(width, dtype=np.int64) >= m[:, None]] = width
-            act = active.tolist()
-            for j, mj in enumerate(m.tolist()):
+            for j, mj in enumerate(m_rows):
                 bins_gens[act[j]].shuffle(perm[j, :mj])
         # Balanced layout per row: the first ``extra`` bins get
         # ``base + 1`` members, the rest ``base`` (partition_random).
@@ -646,6 +762,16 @@ def _run_counting_batch(
         live = ~resolved
         if not live.any():
             return
+        if policy is not None:
+            # A full round queried all ``eff`` bins of a surviving row.
+            seen = [
+                (act[j], requested[j], eff_j, silent_j)
+                for j, eff_j, silent_j in zip(
+                    np.flatnonzero(live).tolist(),
+                    eff[live].tolist(),
+                    silent[live].sum(axis=1).tolist(),
+                )
+            ]
         # Full round, unresolved: silent bins eliminate their members.
         # Resolved rows drop out *before* the elimination arrays are
         # built -- the cohort shrinks fast, so every op below runs over
@@ -687,9 +813,10 @@ def _run_counting_batch(
             + np.repeat(row_i * (width_next + 1) - offsets, m)
         ] = kept_flags
         hit = flat.reshape(rows, width_next + 1)
-    raise RuntimeError(
-        f"{algorithm}: round safety valve ({_MAX_ROUNDS}) tripped"
-    )
+        if policy is not None:
+            for (i, b, queried_i, silent_i), m_i in zip(seen, m.tolist()):
+                policy.observe(i, b, queried_i, silent_i, m_i, 0)
+    raise rounds.tripped()
 
 
 def _run_one_capture(
@@ -698,10 +825,10 @@ def _run_one_capture(
     mask: np.ndarray,
     model_rng: np.random.Generator,
     bins_rng: np.random.Generator,
-    schedule: Schedule,
+    rounds: _Rounds,
+    run: int,
     p_cap: Callable[[int], float],
     max_queries: Optional[int],
-    algorithm: str,
     tally: Optional[_CellTally],
 ) -> Tuple[bool, int]:
     """One 2+ trial: vectorized counts, in-order capture draws.
@@ -718,10 +845,8 @@ def _run_one_capture(
     cand = np.arange(n, dtype=np.int64)
     confirmed = 0
     total = 0
-    for round_index in range(_MAX_ROUNDS):
-        bins_requested = schedule(round_index)
-        if bins_requested < 1:
-            raise RuntimeError(f"{algorithm}: bin policy returned {bins_requested}")
+    for round_index in range(rounds.max_rounds):
+        bins_requested = rounds.bins(round_index, run)
         m = cand.size
         perm, starts, sizes, counts, hits = _round_layout(
             cand, bins_requested, bins_rng, mask
@@ -781,9 +906,11 @@ def _run_one_capture(
         if decision is not None:
             return decision, total
         cand = cand[keep]
-    raise RuntimeError(
-        f"{algorithm}: round safety valve ({_MAX_ROUNDS}) tripped"
-    )
+        if rounds.policy is not None:
+            rounds.policy.observe(
+                run, bins_requested, queried, n_silent, int(cand.size), confirmed
+            )
+    raise rounds.tripped()
 
 
 def run_probes(

@@ -267,7 +267,8 @@ class ThresholdQueryService:
         self._server: Optional[asyncio.Server] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._inflight: Set["asyncio.Task[None]"] = set()
-        self._connections: Set[asyncio.StreamWriter] = set()
+        #: Open connections: writer -> the task running its handler.
+        self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[Any]"] = {}
         self.port: int = config.port
 
     # -- lifecycle ---------------------------------------------------------
@@ -312,8 +313,14 @@ class ThresholdQueryService:
         while self._inflight:
             await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
         await self.scheduler.drain()
+        handlers = tuple(self._connections.values())
         for writer in tuple(self._connections):
             writer.close()
+        # A closed transport hands an idle read loop EOF, so every
+        # handler returns on its own; wait for that rather than leave
+        # them for the loop's teardown to cancel mid-read (the streams
+        # callback then reports the cancellation as a traceback).
+        await asyncio.gather(*handlers, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -359,7 +366,9 @@ class ThresholdQueryService:
             except (ConnectionError, OSError):
                 pass
             return
-        self._connections.add(writer)
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[writer] = handler
         frames = _FrameReader(
             reader,
             max_line_bytes=self.config.max_line_bytes,
@@ -415,7 +424,7 @@ class ThresholdQueryService:
             if tasks:
                 await asyncio.gather(*tuple(tasks), return_exceptions=True)
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

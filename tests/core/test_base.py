@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.base import RoundOutcome, SessionState, ThresholdAlgorithm
-from repro.group_testing.model import OnePlusModel
+from repro.group_testing.model import ModelSpec, OnePlusModel
 from repro.group_testing.population import Population
+from repro.group_testing.vectorized import QueryBatch
 
 
 class OneBinForever(ThresholdAlgorithm):
@@ -79,6 +80,24 @@ class TestSafetyValves:
         model = OnePlusModel(pop, np.random.default_rng(1))
         with pytest.raises(RuntimeError, match="bin policy"):
             BadPolicy().decide(model, 1, np.random.default_rng(2))
+
+    @pytest.mark.parametrize(
+        "algo, threshold, kind, match",
+        [
+            # Under 2+ captures let the single bin make progress, so the
+            # stall is a 1+ scenario (on both paths).
+            (OneBinForever(), 2, "1+", "safety valve \\(25\\)"),
+            (BadPolicy(), 1, "1+", "bin policy"),
+            (BadPolicy(), 1, "2+", "bin policy"),
+        ],
+    )
+    def test_batch_kernel_keeps_both_valves(self, algo, threshold, kind, match):
+        batch = QueryBatch.for_cell(
+            seed=0, label="valve", x=4, n=16, threshold=threshold,
+            run_lo=0, run_hi=3, model=ModelSpec(kind=kind),
+        )
+        with pytest.raises(RuntimeError, match=match):
+            algo.decide_batch(batch)
 
 
 class TestHooks:

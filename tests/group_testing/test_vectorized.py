@@ -18,7 +18,15 @@ from repro.api import (
     make_algorithm,
     threshold_query_batch,
 )
-from repro.core import BatchThresholdDecider, TwoTBins
+from repro.core import (
+    Abns,
+    AbnsBinPolicy,
+    BatchThresholdDecider,
+    FourFoldIncrease,
+    OracleBins,
+    PauseAndContinue,
+    TwoTBins,
+)
 from repro.experiments.common import SweepEngine
 from repro.faults.injectors import VerdictFlip
 from repro.faults.plan import FaultPlan
@@ -170,6 +178,142 @@ class TestStreamConsumption:
                 ), f"run {run}: stream consumed a different number of draws"
 
 
+#: Adaptive bin policies the kernel runs by replaying their round hooks
+#: (``x`` is the cell's true positive count, for the oracle).
+POLICIES = {
+    "abns-paper-t": lambda x: Abns(p0_multiple=1.0),
+    "abns-paper-2t": lambda x: Abns(p0_multiple=2.0),
+    "abns-paper-p0": lambda x: Abns(p0=3.0),
+    "abns-hybrid-t": lambda x: Abns(p0_multiple=1.0, policy=AbnsBinPolicy.HYBRID),
+    "abns-hybrid-2t-stag1": lambda x: Abns(
+        p0_multiple=2.0, policy=AbnsBinPolicy.HYBRID, stagnation_limit=1
+    ),
+    "abns-paper-stag1": lambda x: Abns(p0_multiple=0.5, stagnation_limit=1),
+    "abns-paper-stag2": lambda x: Abns(p0=1.0, stagnation_limit=2),
+    "abns-hybrid-stag3": lambda x: Abns(
+        p0=10.0, policy=AbnsBinPolicy.HYBRID, stagnation_limit=3
+    ),
+    "oracle": OracleBins,
+    "pause-and-continue": lambda x: PauseAndContinue(),
+    "pause-and-continue-1": lambda x: PauseAndContinue(
+        initial_bins=1, elimination_fraction=0.5
+    ),
+    "four-fold": lambda x: FourFoldIncrease(),
+}
+
+#: ``(n, x, t)`` cells: below, at and above the threshold, plus ``t = 0``
+#: and ``n < t`` (both resolved without a round).
+POLICY_CELLS = (
+    (48, 0, 6), (48, 3, 6), (48, 6, 6), (48, 7, 6), (48, 30, 6),
+    (48, 48, 6), (60, 20, 1), (40, 12, 20), (16, 5, 0), (5, 3, 8),
+)
+
+
+def _scalar_cell(factory, spec, n, x, t, runs, seed):
+    """Per-run ``decide`` over the streams the kernel reconstructs."""
+    batch = QueryBatch.for_cell(
+        seed=seed, label="policy", x=x, n=n, threshold=t,
+        run_lo=0, run_hi=runs, model=spec,
+    )
+    out = []
+    for run in range(runs):
+        pop_rng, model_rng, bins_rng = batch.streams(run)
+        model = spec(Population.from_count(n, x, pop_rng), model_rng)
+        result = factory(x).decide(model, t, bins_rng)
+        out.append((result.decision, result.queries))
+    return out
+
+
+def _model_counters(registry):
+    snapshot = registry.snapshot()
+    counters = {
+        k: v for k, v in snapshot.counters.items() if k.startswith("model.")
+    }
+    return counters, snapshot.histograms.get("model.bin_size")
+
+
+class TestAdaptivePolicyParity:
+    """Hook-replayed policies on the kernel == per-run scalar ``decide``."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_decisions_queries_and_counters_match(
+        self, name, kind, _pristine_registry
+    ):
+        registry = _pristine_registry
+        registry.enable()
+        factory = POLICIES[name]
+        spec = _model_spec(kind)
+        runs = 7
+        for cell, (n, x, t) in enumerate(POLICY_CELLS):
+            seed = 100 + cell
+            registry.reset()
+            scalar = _scalar_cell(factory, spec, n, x, t, runs, seed)
+            scalar_counters = _model_counters(registry)
+            registry.reset()
+            out = factory(x).decide_batch(
+                QueryBatch.for_cell(
+                    seed=seed, label="policy", x=x, n=n, threshold=t,
+                    run_lo=0, run_hi=runs, model=spec,
+                )
+            )
+            assert out.exact
+            vec = list(zip(out.decisions.tolist(), out.queries.tolist()))
+            assert vec == scalar, f"{name}/{kind} at n={n} x={x} t={t}"
+            assert _model_counters(registry) == scalar_counters, (
+                f"{name}/{kind} at n={n} x={x} t={t}"
+            )
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("name", ["abns-paper-t", "oracle", "four-fold"])
+    def test_budget_exhaustion_raises_on_both_paths(self, name, kind):
+        factory = POLICIES[name]
+        spec = ModelSpec(kind=kind, k=3, max_queries=3)
+        with pytest.raises(QueryBudgetExceeded, match="budget of 3"):
+            _scalar_cell(factory, spec, 48, 20, 12, 4, 7)
+        with pytest.raises(QueryBudgetExceeded, match="budget of 3"):
+            factory(20).decide_batch(
+                QueryBatch.for_cell(
+                    seed=7, label="policy", x=20, n=48, threshold=12,
+                    run_lo=0, run_hi=4, model=spec,
+                )
+            )
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_post_run_generator_states_match_scalar(self, kind):
+        spec = _model_spec(kind)
+        runs = 5
+        vec_streams, vec_cache = _memoized_streams(salt=11)
+        Abns(p0_multiple=2.0).decide_batch(
+            QueryBatch(
+                n=40, x=9, threshold=5, run_lo=0, run_hi=runs,
+                model=spec, streams=vec_streams,
+            )
+        )
+        scalar_streams, scalar_cache = _memoized_streams(salt=11)
+        for run in range(runs):
+            pop_rng, model_rng, bins_rng = scalar_streams(run)
+            model = spec(Population.from_count(40, 9, pop_rng), model_rng)
+            Abns(p0_multiple=2.0).decide(model, 5, bins_rng)
+        for run in range(runs):
+            for vec_gen, scalar_gen in zip(vec_cache[run], scalar_cache[run]):
+                assert (
+                    vec_gen.bit_generator.state
+                    == scalar_gen.bit_generator.state
+                ), f"run {run}: stream consumed a different number of draws"
+
+    def test_algorithm_instance_is_not_mutated(self):
+        algo = Abns(p0_multiple=1.0)
+        before = dict(vars(algo))
+        algo.decide_batch(
+            QueryBatch.for_cell(
+                seed=3, label="policy", x=10, n=48, threshold=6,
+                run_lo=0, run_hi=4, model=_model_spec("1+"),
+            )
+        )
+        assert vars(algo) == before
+
+
 class TestBatchFacade:
     """threshold_query_batch: spawn streams, dispatch, fallback."""
 
@@ -231,7 +375,9 @@ class TestBatchFacade:
         assert out.decisions.shape == (4,)
 
     def test_scalar_only_algorithm_supported(self):
-        out = threshold_query_batch(32, 10, 4, runs=3, seed=1, algorithm="abns")
+        out = threshold_query_batch(
+            32, 10, 4, runs=3, seed=1, algorithm="prob-abns"
+        )
         assert out.decisions.all()
 
     def test_negative_runs_rejected(self):
@@ -327,4 +473,5 @@ class TestKernelEdgeCases:
     def test_batch_protocol_membership(self):
         assert isinstance(TwoTBins(), BatchThresholdDecider)
         assert isinstance(make_algorithm("exponential"), BatchThresholdDecider)
-        assert not isinstance(make_algorithm("abns"), BatchThresholdDecider)
+        assert isinstance(make_algorithm("abns"), BatchThresholdDecider)
+        assert not isinstance(make_algorithm("prob-abns"), BatchThresholdDecider)

@@ -108,6 +108,25 @@ class TestSigtermDrain:
         assert len(answered) == WINDOW
         assert all(r["ok"] and r["status"] == 200 for r in answered)
 
+    def test_idle_connection_shuts_down_without_traceback(self):
+        """SIGTERM with an idle client connected: the handler's pending
+        read ends cleanly, so the process exits 0 and prints nothing
+        but its banner."""
+        proc, port = _spawn_server()
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+            sock.sendall(b'{"op": "ping", "id": "idle"}\n')
+            assert json.loads(sock.makefile("rb").readline())["ok"]
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=60)
+            sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "Traceback" not in output, output
+
     def test_new_work_is_shed_while_draining(self):
         """A second SIGTERM scenario: requests sent after the drain began
         are shed with 429 'draining' (when the handler still reads them)

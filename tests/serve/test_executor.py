@@ -94,7 +94,7 @@ class TestScalarDegradation:
         assert sum(confirmed.queries) > sum(plain.queries)
 
     def test_scalar_only_algorithms_fall_back(self):
-        request = _request("q0", seed=5, runs=3, algorithm="abns")
+        request = _request("q0", seed=5, runs=3, algorithm="prob-abns")
         [outcome] = execute_group([request])
         assert not outcome.batched
         assert outcome.exact

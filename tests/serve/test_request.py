@@ -110,4 +110,5 @@ class TestCoalesceKey:
     def test_vectorizable_flags(self):
         assert QueryRequest.from_wire(_wire()).vectorizable
         assert not QueryRequest.from_wire(_wire(reliable="krepeat")).vectorizable
-        assert not QueryRequest.from_wire(_wire(algorithm="abns")).vectorizable
+        assert QueryRequest.from_wire(_wire(algorithm="abns")).vectorizable
+        assert not QueryRequest.from_wire(_wire(algorithm="prob-abns")).vectorizable
